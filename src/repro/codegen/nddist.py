@@ -28,7 +28,7 @@ from ..decomp.base import Decomposition
 from ..decomp.multidim import GridDecomposition
 from ..decomp.replicated import Replicated
 from ..machine.distributed import DistributedMachine, NodeContext
-from ..machine.ndmemory import gather_global_nd, scatter_global_nd
+from ..machine.ndmemory import gather_global_nd
 from ..sets.table1 import OptimizedAccess, optimize_access
 from .dist_tmpl import _eval_fetched
 
@@ -357,18 +357,11 @@ def run_distributed_nd(
         if trace is not None:
             trace.note(f"backend={backend!r} fell back to the scalar "
                        "template: plan carries no IR")
-    decs: Dict[str, AnyDec] = {plan.write.name: plan.write.dec}
-    for read in plan.reads:
-        decs.setdefault(read.name, read.dec)
     if machine is None:
+        from ..machine.vectorize import _place_env
+
         machine = DistributedMachine(plan.pmax)
-        for name, dec in decs.items():
-            arr = np.asarray(env[name], dtype=np.float64)
-            if isinstance(dec, GridDecomposition):
-                scatter_global_nd(name, arr, dec, machine.memories)
-                machine.decomps[name] = dec  # for bookkeeping
-            else:
-                machine.place(name, arr, dec)
+        _place_env(plan, env, machine)
     machine.run(lambda ctx: make_nd_node_program(plan, ctx))
     return machine
 

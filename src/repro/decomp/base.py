@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 from ..core.indexset import IndexSet
 from ..core.view import GeneralMap, View
 
@@ -59,25 +61,26 @@ class Decomposition:
 
         Subclasses with closed-form placement override this with pure
         array arithmetic; the default evaluates element-wise (correct for
-        any decomposition, used only by the vector executor's fallback).
+        any decomposition).
         """
-        import numpy as np
-
-        idx = np.asarray(idx, dtype=np.int64)
-        return np.fromiter(
-            (self.proc(int(i)) for i in idx.ravel()),
-            dtype=np.int64, count=idx.size,
-        ).reshape(idx.shape)
+        return _elementwise(self.proc, idx)
 
     def local_array(self, idx):
         """``local`` over an integer ndarray (see :meth:`proc_array`)."""
-        import numpy as np
+        return _elementwise(self.local, idx)
 
-        idx = np.asarray(idx, dtype=np.int64)
-        return np.fromiter(
-            (self.local(int(i)) for i in idx.ravel()),
-            dtype=np.int64, count=idx.size,
-        ).reshape(idx.shape)
+    def owned_array(self, p: int):
+        """:meth:`owned` as an int64 ndarray: closed forms in subclasses,
+        enumeration of :meth:`owned` by default."""
+        return np.fromiter(self.owned(p), dtype=np.int64)
+
+    def owned_slots(self, p: int):
+        """``(global, local)`` indices in step, ``A'[local] = A[global]``
+        placing *p*'s elements: :meth:`owned_array` and its
+        :meth:`local_array` by default, explicit-step ``slice`` pairs
+        where a closed form makes both progressions."""
+        own = self.owned_array(p)
+        return own, self.local_array(own)
 
     # -- caching ---------------------------------------------------------------
 
@@ -118,10 +121,7 @@ class Decomposition:
     def local_size(self, p: int) -> int:
         """Number of local slots processor *p* needs (1 + max local index,
         so that ``local`` values index a dense local array)."""
-        mx = -1
-        for i in self.owned(p):
-            mx = max(mx, self.local(i))
-        return mx + 1
+        return int(self.local_array(self.owned_array(p)).max(initial=-1)) + 1
 
     def max_local_size(self) -> int:
         return max((self.local_size(p) for p in range(self.pmax)), default=0)
@@ -161,3 +161,10 @@ class Decomposition:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n}, pmax={self.pmax})"
+
+
+def _elementwise(f, idx):
+    """Apply the scalar placement function *f* over an integer ndarray."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return np.fromiter((f(int(i)) for i in idx.ravel()), dtype=np.int64,
+                       count=idx.size).reshape(idx.shape)

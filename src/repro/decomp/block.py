@@ -8,7 +8,7 @@ covers all the data: ``pmax.b >= n`` with ``b = ceil(n/pmax)``.  Then
 
 from __future__ import annotations
 
-from typing import List
+import numpy as np
 
 from ..core.ifunc import ceil_div
 from .blockscatter import BlockScatter
@@ -42,16 +42,12 @@ class Block(BlockScatter):
     def local(self, i: int) -> int:
         return i % self.b
 
-    def global_index(self, p: int, l: int) -> int:
-        i = p * self.b + l
-        if not (0 <= i < self.n) or not (0 <= l < self.b):
-            raise KeyError(f"no global element at (p={p}, l={l})")
-        return i
+    def owned_array(self, p: int):
+        return np.arange(p * self.b, min((p + 1) * self.b, self.n))
 
-    def owned(self, p: int) -> List[int]:
-        lo = p * self.b
-        hi = min(lo + self.b, self.n)
-        return list(range(lo, hi))
+    def owned_slots(self, p: int):
+        lo, hi = min(p * self.b, self.n), min((p + 1) * self.b, self.n)
+        return slice(lo, hi, 1), slice(0, hi - lo, 1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Block(n={self.n}, pmax={self.pmax}, b={self.b})"

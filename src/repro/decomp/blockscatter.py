@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from ..core.ifunc import ceil_div
 from .base import Decomposition
 
@@ -45,14 +47,10 @@ class BlockScatter(Decomposition):
     # The same formulas broadcast over ndarrays; Block and Scatter inherit
     # these (their proc/local are the b = ceil(n/pmax) and b = 1 cases).
     def proc_array(self, idx):
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return (idx // self.b) % self.pmax
 
     def local_array(self, idx):
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return self.b * (idx // (self.b * self.pmax)) + idx % self.b
 
@@ -63,17 +61,22 @@ class BlockScatter(Decomposition):
             raise KeyError(f"no global element at (p={p}, l={l})")
         return i
 
+    def owned_array(self, p: int):
+        """Theorem 2's repeated-block ``gen_p(t)``: every course start
+        ``(k.pmax + p).b`` plus every in-block offset ``0:b-1``, clipped
+        to ``n``."""
+        starts = np.arange(p * self.b, self.n, self.b * self.pmax)
+        idx = (starts[:, None] + np.arange(self.b)).ravel()
+        return idx[idx < self.n]
+
     def owned(self, p: int) -> List[int]:
-        out: List[int] = []
-        stride = self.b * self.pmax
-        start = p * self.b
-        for base in range(start, self.n, stride):
-            out.extend(range(base, min(base + self.b, self.n)))
-        return out
+        return self.owned_array(p).tolist()
 
     def local_size(self, p: int) -> int:
-        own = self.owned(p)
-        return (self.local(own[-1]) + 1) if own else 0
+        # full courses give b slots each; the last, partial course gives
+        # p whatever of its remainder falls in p's block
+        courses, rest = divmod(self.n, self.b * self.pmax)
+        return courses * self.b + min(self.b, max(0, rest - p * self.b))
 
     def courses(self) -> int:
         """Number of rounds of block dealing (the ``k`` range extent)."""

@@ -13,7 +13,10 @@ Undistributed dimensions use :class:`Collapsed` (a single grid axis point).
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .base import Decomposition
 
@@ -38,14 +41,10 @@ class Collapsed(Decomposition):
         return i
 
     def proc_array(self, idx):
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return np.zeros(idx.shape, dtype=np.int64)
 
     def local_array(self, idx):
-        import numpy as np
-
         return np.asarray(idx, dtype=np.int64)
 
     def global_index(self, p: int, l: int) -> int:
@@ -55,6 +54,12 @@ class Collapsed(Decomposition):
 
     def owned(self, p: int) -> List[int]:
         return list(range(self.n))
+
+    def owned_array(self, p: int):
+        return np.arange(self.n)
+
+    def owned_slots(self, p: int):
+        return slice(0, self.n, 1), slice(0, self.n, 1)
 
     def local_size(self, p: int) -> int:
         return self.n
@@ -125,18 +130,8 @@ class GridDecomposition:
     def owned(self, p: int) -> List[Index]:
         """All global index tuples owned by *p*, lexicographic."""
         coord = self.grid_coord(p)
-        per_dim = [d.owned(c) for d, c in zip(self.dims, coord)]
-        out: List[Index] = []
-
-        def rec(d: int, prefix: Tuple[int, ...]) -> None:
-            if d == len(per_dim):
-                out.append(prefix)
-                return
-            for i in per_dim[d]:
-                rec(d + 1, prefix + (i,))
-
-        rec(0, ())
-        return out
+        return list(itertools.product(
+            *(d.owned(c) for d, c in zip(self.dims, coord))))
 
     def local_shape(self, p: int) -> Index:
         coord = self.grid_coord(p)
@@ -159,8 +154,6 @@ class GridDecomposition:
     def validate(self) -> None:
         """Bijectivity check over the full product space (test helper)."""
         seen = set()
-        import itertools
-
         for idx in itertools.product(*(range(n) for n in self.shape)):
             key = (self.proc(idx), self.local(idx))
             assert key not in seen, f"double placement at {idx}"

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from .base import Decomposition
 
 __all__ = ["SingleOwner", "Replicated"]
@@ -40,14 +42,10 @@ class SingleOwner(Decomposition):
         return i
 
     def proc_array(self, idx):
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return np.full(idx.shape, self.owner, dtype=np.int64)
 
     def local_array(self, idx):
-        import numpy as np
-
         return np.asarray(idx, dtype=np.int64)
 
     def global_index(self, p: int, l: int) -> int:
@@ -57,6 +55,9 @@ class SingleOwner(Decomposition):
 
     def owned(self, p: int) -> List[int]:
         return list(range(self.n)) if p == self.owner else []
+
+    def owned_array(self, p: int):
+        return np.arange(self.n if p == self.owner else 0)
 
     def local_size(self, p: int) -> int:
         return self.n if p == self.owner else 0
@@ -83,14 +84,10 @@ class Replicated(Decomposition):
         return i
 
     def proc_array(self, idx):
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return np.zeros(idx.shape, dtype=np.int64)
 
     def local_array(self, idx):
-        import numpy as np
-
         return np.asarray(idx, dtype=np.int64)
 
     def global_index(self, p: int, l: int) -> int:

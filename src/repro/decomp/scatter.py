@@ -6,7 +6,7 @@
 
 from __future__ import annotations
 
-from typing import List
+import numpy as np
 
 from .blockscatter import BlockScatter
 
@@ -28,14 +28,12 @@ class Scatter(BlockScatter):
     def local(self, i: int) -> int:
         return i // self.pmax
 
-    def global_index(self, p: int, l: int) -> int:
-        i = l * self.pmax + p
-        if not (0 <= i < self.n):
-            raise KeyError(f"no global element at (p={p}, l={l})")
-        return i
+    def owned_array(self, p: int):
+        return np.arange(p, self.n, self.pmax)
 
-    def owned(self, p: int) -> List[int]:
-        return list(range(p, self.n, self.pmax))
+    def owned_slots(self, p: int):
+        count = len(range(p, self.n, self.pmax))
+        return slice(p, self.n, self.pmax), slice(0, count, 1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Scatter(n={self.n}, pmax={self.pmax})"

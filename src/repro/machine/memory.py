@@ -9,7 +9,7 @@ memories, which is how experiment harnesses initialize and check runs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from ..decomp.base import Decomposition
 from ..decomp.overlap import OverlappedBlock
 from ..decomp.replicated import Replicated
 
-__all__ = ["LocalMemory", "scatter_global", "gather_global"]
+__all__ = ["LocalMemory", "node_slots", "scatter_global", "gather_global"]
 
 
 class LocalMemory:
@@ -43,6 +43,22 @@ class LocalMemory:
         return f"LocalMemory(p={self.p}: {inner})"
 
 
+def node_slots(dims: Sequence[Decomposition], coord: Sequence[int]):
+    """``(global, local)`` indices of the elements one node owns.
+
+    Each axis contributes its decomposition's ``owned_slots`` at the
+    node's grid coordinate; a 1-D decomposition is the one-axis case.
+    When every axis is a range or a stride the indices stay slices (a
+    strided copy); otherwise ``np.ix_`` crosses per-axis index arrays.
+    """
+    axes = [d.owned_slots(c) for d, c in zip(dims, coord)]
+    if all(isinstance(g, slice) for g, _ in axes):
+        return tuple(g for g, _ in axes), tuple(l for _, l in axes)
+    arrays = [[np.arange(s.start, s.stop, s.step) if isinstance(s, slice) else s
+               for s in ax] for ax in axes]
+    return np.ix_(*(g for g, _ in arrays)), np.ix_(*(l for _, l in arrays))
+
+
 def scatter_global(
     name: str,
     global_array: np.ndarray,
@@ -63,18 +79,15 @@ def scatter_global(
         for mem in memories:
             mem.arrays[name] = np.array(global_array, copy=True)
         return
-    if isinstance(d, OverlappedBlock):
-        for p, mem in enumerate(memories):
-            lo, hi = d.resident_range(p)
-            size = max(0, hi - lo + 1)
-            local = mem.alloc(name, size, dtype=global_array.dtype)
-            if size:
-                local[:] = global_array[lo : hi + 1]
-        return
     for p, mem in enumerate(memories):
+        if isinstance(d, OverlappedBlock):
+            lo, hi = d.resident_range(p)
+            local = mem.alloc(name, hi - lo + 1, dtype=global_array.dtype)
+            local[:] = global_array[lo : hi + 1]
+            continue
         local = mem.alloc(name, d.local_size(p), dtype=global_array.dtype)
-        for i in d.owned(p):
-            local[d.local(i)] = global_array[i]
+        g, l = node_slots((d,), (p,))
+        local[l] = global_array[g]
 
 
 def gather_global(
@@ -97,14 +110,13 @@ def gather_global(
                 )
         return np.array(ref, copy=True)
     out = np.zeros(d.n, dtype=dtype)
-    if isinstance(d, OverlappedBlock):
-        for p, mem in enumerate(memories):
-            local = mem[name]
-            for i in d.owned(p):
-                out[i] = local[d.local_slot(p, i)]
-        return out
     for p, mem in enumerate(memories):
         local = mem[name]
-        for i in d.owned(p):
-            out[i] = local[d.local(i)]
+        if isinstance(d, OverlappedBlock):
+            # the owned block sits after the left halo, at offset lo
+            g, lo = d.owned_slots(p)[0], d.resident_range(p)[0]
+            out[g] = local[g.start - lo : g.stop - lo]
+            continue
+        g, l = node_slots((d,), (p,))
+        out[g] = local[l]
     return out

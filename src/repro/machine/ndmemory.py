@@ -1,8 +1,8 @@
 """Multi-dimensional placement helpers for the distributed machine.
 
 Grid-decomposed arrays live as dense local nd-arrays per node (shape
-``grid.local_shape(p)``); 1-D decompositions fall back to the 1-D
-placement of :mod:`repro.machine.memory`.
+``grid.local_shape(p)``), filled per axis through the same
+:func:`~repro.machine.memory.node_slots` as 1-D placement.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import List
 import numpy as np
 
 from ..decomp.multidim import GridDecomposition
-from .memory import LocalMemory
+from .memory import LocalMemory, node_slots
 
 __all__ = ["scatter_global_nd", "gather_global_nd"]
 
@@ -32,8 +32,8 @@ def scatter_global_nd(
         )
     for p, mem in enumerate(memories):
         local = np.zeros(grid.local_shape(p), dtype=global_array.dtype)
-        for idx in grid.owned(p):
-            local[grid.local(idx)] = global_array[idx]
+        g, l = node_slots(grid.dims, grid.grid_coord(p))
+        local[l] = global_array[g]
         mem.arrays[name] = local
 
 
@@ -46,7 +46,6 @@ def gather_global_nd(
     """Reassemble the global nd-array from the node memories."""
     out = np.zeros(grid.shape, dtype=dtype)
     for p, mem in enumerate(memories):
-        local = mem[name]
-        for idx in grid.owned(p):
-            out[idx] = local[grid.local(idx)]
+        g, l = node_slots(grid.dims, grid.grid_coord(p))
+        out[g] = mem[name][l]
     return out

@@ -337,6 +337,8 @@ def make_vector_node_program(ir: PlanIR, ctx: NodeContext):
 
 def _place_env(ir: PlanIR, env: Dict[str, np.ndarray],
                machine: DistributedMachine) -> None:
+    """Place every array *ir* (or any plan with ``write``/``reads``
+    accesses) touches; grid arrays get nd-local layouts."""
     decs = {ir.write.name: ir.write.dec}
     for acc in ir.reads:
         decs.setdefault(acc.name, acc.dec)

@@ -5,8 +5,8 @@ The parent owns every segment: one :class:`ShmSession` per run creates a
 environment in, and unlinks everything when the run finishes.  Workers
 attach read/write views through the same float64 ndarray layout, so the
 gather/scatter index arrays the lowering precomputes address the global
-arrays zero-copy — placement is one memcpy per array instead of the
-distributed machines' per-element Python scatter loop.
+arrays zero-copy — placement is one memcpy per array, with no per-node
+local buffers to fill.
 
 Attachment deliberately bypasses the per-process resource tracker
 (``track=False`` where available, an ``unregister`` call otherwise):

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..backends import RunContext, dispatch
 from ..core.clause import Clause, Ordering
 from ..core.view import ProjectedMap, SeparableMap
 from ..decomp.base import Decomposition
@@ -240,130 +241,27 @@ def run_distributed_nd(
     """Place *env* (grid decompositions get nd-local layouts), run the
     clause, return the machine; use :func:`collect_nd` for grid arrays.
 
-    ``backend="vector"`` batches each (read, peer) transfer into a single
-    value-vector message and evaluates the clause body as NumPy array
-    operations over the factorized membership products;
-    ``backend="overlap"`` additionally computes the interior of
-    ``Modify_p`` while messages are in flight; ``backend="fused"`` runs
-    the compile-once node kernels of the `lower-kernels` pass (grid
-    local buffers addressed through precomputed raveled index arrays),
-    falling back to the vector path with a trace note when the plan has
-    no fused form.  *model* is an optional
-    :class:`~repro.machine.channels.LatencyModel` for a new machine.
-    *strict* makes a fused run refuse RACE*/COMM*-flagged clauses.
-    ``backend="mp"`` runs the fused kernels on real worker processes
-    (*processes*/*timeout* apply there), falling back to the fused path
-    when the plan has no mp form or a pre-placed *machine* is given.
-    ``backend="mpi"`` runs the same lowered programs SPMD under
-    ``mpiexec`` over a Cartesian process grid matching the
-    decomposition (:mod:`repro.mpi`), degrading to fused with a trace
-    note when mpi4py is unavailable.
+    *backend* picks the executor through the ladder of
+    :data:`repro.backends.BACKENDS` (see :func:`repro.backends.dispatch`
+    and ``docs/execution.md``); every fallback is a trace note.  *model*
+    is an optional :class:`~repro.machine.channels.LatencyModel` for a
+    new machine.  *strict* refuses RACE*/COMM*-flagged clauses;
+    *processes*/*timeout* apply to ``mp``/``mpi``.
     """
-    from ..backends import validate_backend
+    def scalar() -> DistributedMachine:
+        m = machine
+        if m is None:
+            from ..machine.vectorize import _place_env
 
-    validate_backend(backend, context="run_distributed_nd")
-    if backend == "mpi":
-        from ..backends import backend_availability
+            m = DistributedMachine(plan.pmax)
+            _place_env(plan, env, m)
+        m.run(lambda ctx: make_nd_node_program(plan, ctx))
+        return m
 
-        trace = getattr(plan, "trace", None)
-        av = backend_availability("mpi")
-        why = None
-        if not av.available:
-            why = av.reason
-        elif plan.ir is None:
-            why = "plan carries no IR"
-        elif machine is not None:
-            why = ("a pre-placed machine was supplied; the MPI backend "
-                   "owns its own placement")
-        if why is None:
-            from ..mpi.exec import MpiUnavailableError, run_distributed_mpi
-            from ..runtime import MpLoweringError
-
-            try:
-                return run_distributed_mpi(plan.ir, env, strict=strict,
-                                           processes=processes,
-                                           timeout=timeout)
-            except (MpLoweringError, MpiUnavailableError) as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mpi' fell back to the fused path: {why}")
-        backend = "fused"
-    if backend == "mp":
-        trace = getattr(plan, "trace", None)
-        why = None
-        if plan.ir is None:
-            why = "plan carries no IR"
-        elif machine is not None:
-            why = ("a pre-placed machine was supplied; the mp runtime "
-                   "owns its own placement")
-        if why is None:
-            from ..runtime import MpLoweringError, run_distributed_mp
-
-            try:
-                return run_distributed_mp(plan.ir, env, strict=strict,
-                                          processes=processes,
-                                          timeout=timeout)
-            except MpLoweringError as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mp' fell back to the fused path: {why}")
-        backend = "fused"
-    if backend == "native":
-        if plan.ir is not None:
-            from ..machine.native import run_distributed_native
-            from ..pipeline.native import NativeBuildError
-
-            try:
-                return run_distributed_native(plan.ir, env, machine,
-                                              model=model, strict=strict)
-            except NativeBuildError as err:
-                trace = getattr(plan, "trace", None)
-                if trace is not None:
-                    trace.note("backend='native' fell back to the fused "
-                               f"path: {err}")
-        else:
-            trace = getattr(plan, "trace", None)
-            if trace is not None:
-                trace.note("backend='native' fell back to the fused path: "
-                           "plan carries no IR")
-        backend = "fused"
-    if backend == "fused" and plan.ir is not None:
-        kernels = getattr(plan.ir, "kernels", None)
-        if kernels is not None and kernels.dist is not None:
-            from ..machine.fused import run_distributed_fused
-
-            return run_distributed_fused(plan.ir, env, machine, model=model,
-                                         strict=strict)
-        if strict:
-            from ..machine.fused import check_strict
-
-            check_strict(plan.ir, True)
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            why = (kernels.dist_note if kernels is not None
-                   else "no fused kernels on the plan")
-            trace.note(f"backend='fused' fell back to the vector path: {why}")
-        backend = "vector"
-    if backend == "overlap" and plan.ir is not None:
-        from ..machine.vectorize import run_distributed_overlap
-
-        return run_distributed_overlap(plan.ir, env, machine, model=model)
-    if backend == "vector" and plan.ir is not None:
-        from ..machine.vectorize import run_distributed_vector
-
-        return run_distributed_vector(plan.ir, env, machine, model=model)
-    if backend != "scalar":
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            trace.note(f"backend={backend!r} fell back to the scalar "
-                       "template: plan carries no IR")
-    if machine is None:
-        from ..machine.vectorize import _place_env
-
-        machine = DistributedMachine(plan.pmax)
-        _place_env(plan, env, machine)
-    machine.run(lambda ctx: make_nd_node_program(plan, ctx))
-    return machine
+    ctx = RunContext.of(plan, env, machine, "run_distributed_nd",
+                        distributed=True, strict=strict, model=model,
+                        processes=processes, timeout=timeout)
+    return dispatch(backend, ctx, scalar)
 
 
 def collect_nd(machine: DistributedMachine, name: str) -> np.ndarray:

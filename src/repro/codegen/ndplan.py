@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..backends import RunContext, dispatch
 from ..core.clause import Clause, Ordering
 from ..core.view import ProjectedMap, SeparableMap
 from ..decomp.base import Decomposition
 from ..decomp.multidim import GridDecomposition
 from ..machine.shared import SharedMachine
 from ..sets.membership import Work
-from ..sets.table1 import OptimizedAccess, optimize_access
+from ..sets.table1 import OptimizedAccess
 
 __all__ = ["NDPlan", "compile_clause_nd", "run_shared_nd"]
 
@@ -123,103 +124,22 @@ def run_shared_nd(
 ) -> SharedMachine:
     """Execute on the shared-memory machine (direct global addressing).
 
-    ``backend="vector"`` runs ``//`` clauses through the NumPy segment
-    executor; ``backend="fused"`` runs the compile-once node kernels
-    (falling back to the vector executor when the plan has none);
-    ``backend="native"`` runs the njit-compiled scalar-loop kernels
-    (falling back to fused when numba is absent or the plan has no
-    native form); ``backend="mp"`` runs those kernels on real worker processes
-    (falling back to fused when the plan has no mp form);
-    ``backend="mpi"`` runs them SPMD under ``mpiexec`` (falling back to
-    fused when mpi4py is unavailable);
-    • clauses (a serial chain) always take the scalar path.
+    *backend* picks the executor through the ladder of
+    :data:`repro.backends.BACKENDS` (see :func:`repro.backends.dispatch`
+    and ``docs/execution.md``); every fallback is a trace note.
+    *processes*/*timeout* apply to ``mp``/``mpi``.
     """
-    from ..backends import validate_backend
-
-    validate_backend(
-        backend,
-        allowed=("scalar", "vector", "fused", "native", "mp", "mpi"),
-        context="run_shared_nd")
-    clause = plan.clause
     if machine is None:
         machine = SharedMachine(plan.pmax, env)
+    ctx = RunContext.of(plan, env, machine, "run_shared_nd",
+                        distributed=False, processes=processes,
+                        timeout=timeout)
+    return dispatch(backend, ctx, lambda: _run_shared_nd_scalar(plan, machine))
 
-    if backend == "mpi":
-        from ..backends import backend_availability
 
-        trace = getattr(plan, "trace", None)
-        av = backend_availability("mpi")
-        why = None
-        if not av.available:
-            why = av.reason
-        elif plan.ir is None:
-            why = "plan carries no IR"
-        elif clause.ordering is not Ordering.PAR:
-            why = "sequential (•) clause is a serial chain"
-        if why is None:
-            from ..mpi.exec import MpiUnavailableError, run_shared_mpi
-            from ..runtime import MpLoweringError
-
-            try:
-                return run_shared_mpi(plan.ir, env, machine,
-                                      processes=processes, timeout=timeout)
-            except (MpLoweringError, MpiUnavailableError) as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mpi' fell back to the fused path: {why}")
-        backend = "fused"
-
-    if backend == "mp":
-        if plan.ir is not None:
-            from ..runtime import MpLoweringError, run_shared_mp
-
-            try:
-                return run_shared_mp(plan.ir, env, machine,
-                                     processes=processes, timeout=timeout)
-            except MpLoweringError as err:
-                trace = getattr(plan, "trace", None)
-                if trace is not None:
-                    trace.note("backend='mp' fell back to the fused "
-                               f"path: {err}")
-        backend = "fused"
-
-    if backend == "native":
-        if plan.ir is not None and clause.ordering is Ordering.PAR:
-            from ..machine.native import run_shared_native
-            from ..pipeline.native import NativeBuildError
-
-            try:
-                return run_shared_native(plan.ir, env, machine)
-            except NativeBuildError as err:
-                trace = getattr(plan, "trace", None)
-                if trace is not None:
-                    trace.note("backend='native' fell back to the fused "
-                               f"path: {err}")
-        backend = "fused"
-
-    if backend == "fused":
-        kernels = getattr(plan.ir, "kernels", None) \
-            if plan.ir is not None else None
-        if (kernels is not None and kernels.shared is not None
-                and clause.ordering is Ordering.PAR):
-            from ..machine.fused import run_shared_fused
-
-            return run_shared_fused(plan.ir, env, machine)
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            why = ("sequential (•) clause is a serial chain"
-                   if clause.ordering is Ordering.SEQ else
-                   kernels.shared_note if kernels is not None else
-                   "no fused kernels on the plan")
-            trace.note(f"backend='fused' fell back to the vector path: {why}")
-        backend = "vector"
-
-    if (backend == "vector" and clause.ordering is Ordering.PAR
-            and plan.ir is not None):
-        from ..machine.vectorize import run_shared_vector
-
-        return run_shared_vector(plan.ir, env, machine)
-
+def _run_shared_nd_scalar(plan: NDPlan, machine: SharedMachine) -> SharedMachine:
+    """The §2.9 template over the factorized membership products."""
+    clause = plan.clause
     if clause.ordering is Ordering.SEQ:
         # global lexicographic serialization, charged to owners
         order: List[Tuple[int, Tuple[int, ...]]] = []

@@ -690,46 +690,31 @@ def run_program(
     """Execute a compiled program on the shared-memory machine; returns
     ``(machine, barriers)`` — the barrier count covers all iterations.
 
-    The full backend registry applies, exactly as for single clauses:
-    ``overlap`` has no shared-memory meaning and runs the vector backend
-    (trace note); ``mp`` executes the whole program on the worker pool —
-    one shared-memory session across every clause and iteration when the
-    program is pipelined — and falls back to per-clause driving (with a
-    trace note) when a clause has no mp form; ``mpi`` executes the whole
-    program SPMD under ``mpiexec`` — one MPI world across every clause
-    and iteration, rank-local buffer swaps, a single final-state
-    exchange — degrading first to per-clause driving and ultimately to
-    fused when mpi4py is unavailable.
+    *backend* names a rung of :data:`repro.backends.BACKENDS`; its
+    validation, the shared-memory ``overlap`` alias and the availability
+    step come from :func:`repro.backends.first_rung`, and each clause
+    then runs through the single-clause ladder (``docs/execution.md``).
+    ``mp`` and ``mpi`` first try the whole program at once — one
+    shared-memory session or one MPI world across every clause and
+    iteration — and drive clauses individually (trace note) when a
+    clause has no such form.
     """
-    from ..backends import validate_backend
+    from ..backends import first_rung
 
-    validate_backend(backend, context="run_program")
+    backend = first_rung(backend, "run_program", pir.trace)
     if machine is None:
         machine = SharedMachine(pir.pmax, env)
-    if backend == "overlap":
-        pir.trace.note("backend='overlap' on shared memory: no messages "
-                       "to overlap; running the vector backend")
-        backend = "vector"
     if backend == "mpi":
-        from ..backends import backend_availability
+        from ..mpi.exec import MpiUnavailableError, run_program_mpi
+        from ..runtime import MpLoweringError
 
-        av = backend_availability("mpi")
-        if av.available:
-            from ..mpi.exec import MpiUnavailableError, run_program_mpi
-            from ..runtime import MpLoweringError
-
-            try:
-                return run_program_mpi(pir, machine, strict=strict,
-                                       processes=processes,
-                                       timeout=timeout)
-            except (MpLoweringError, MpiUnavailableError) as err:
-                pir.trace.note(
-                    f"backend='mpi' whole-program execution unavailable "
-                    f"({err}); driving clauses individually")
-        else:
+        try:
+            return run_program_mpi(pir, machine, strict=strict,
+                                   processes=processes, timeout=timeout)
+        except (MpLoweringError, MpiUnavailableError) as err:
             pir.trace.note(
-                f"backend='mpi' fell back to the fused path: {av.reason}")
-            backend = "fused"
+                f"backend='mpi' whole-program execution unavailable "
+                f"({err}); driving clauses individually")
     if backend == "mp":
         from ..runtime import MpLoweringError, run_program_mp
 

@@ -75,3 +75,28 @@ def rng():
 def fig2_params():
     """The Fig. 2 configuration: 15 elements on 4 processors."""
     return {"n": 15, "pmax": 4}
+
+
+@pytest.fixture
+def no_native(monkeypatch):
+    """Force the native probe to report the tier unavailable."""
+    from repro.pipeline.native import reset_native_support
+
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    reset_native_support()
+    yield
+    monkeypatch.undo()
+    reset_native_support()
+
+
+@pytest.fixture
+def no_mpi(monkeypatch):
+    """Force the mpi backend unavailable (fused-fallback path)."""
+    from repro.mpi.support import reset_mpi_support
+
+    monkeypatch.setenv("REPRO_NO_MPI", "1")
+    monkeypatch.delenv("REPRO_MPI_STUB", raising=False)
+    reset_mpi_support()
+    yield
+    monkeypatch.undo()
+    reset_mpi_support()

@@ -87,17 +87,6 @@ def stub_mode(monkeypatch):
     reset_mpi_support()
 
 
-@pytest.fixture
-def no_mpi(monkeypatch):
-    """Force the backend unavailable (fused-fallback path)."""
-    monkeypatch.setenv("REPRO_NO_MPI", "1")
-    monkeypatch.delenv("REPRO_MPI_STUB", raising=False)
-    reset_mpi_support()
-    yield
-    monkeypatch.undo()
-    reset_mpi_support()
-
-
 def stencil_clause():
     return Clause(
         IndexSet(Bounds((1,), (N - 2,))),

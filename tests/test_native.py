@@ -101,13 +101,6 @@ def interp(monkeypatch):
     reset_native_support()
 
 
-@pytest.fixture
-def no_native(monkeypatch):
-    """Force the probe to report the tier unavailable."""
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    reset_native_support()
-
-
 class TestSupportProbe:
     def test_disabled_by_env(self, no_native):
         sup = native_support()

@@ -191,3 +191,26 @@ class TestExecution:
                 assert idx not in seen
                 seen.add(idx)
         assert len(seen) == N * (M - 1)
+
+
+class TestDeadlockAnnotation:
+    """A read past the array edge deadlocks every batched backend; the
+    runtime error must carry the static verifier's verdict, exactly as
+    the 1-D runner's does.  (The N-D *scalar* template raises a bare
+    IndexError on this clause instead of deadlocking.)"""
+
+    @pytest.mark.parametrize("backend", ["vector", "overlap", "fused",
+                                         "native"])
+    def test_out_of_range_read_names_static_code(self, backend):
+        from repro.machine import DeadlockError
+
+        cl = Clause(  # T[i,j] := S[i,j+1]*2 over the full range
+            IndexSet(Bounds((0, 0), (N - 1, M - 1))),
+            Ref("T", SeparableMap([IdentityF(), IdentityF()])),
+            Ref("S", SeparableMap([IdentityF(), AffineF(1, 1)])) * 2,
+        )
+        plan = compile_clause_nd_dist(cl, {"T": grid(), "S": grid()})
+        with pytest.raises(DeadlockError) as err:
+            run_distributed_nd(plan, copy_env(env2d()), backend=backend)
+        assert "BND001" in str(err.value)
+        assert "repro check" in str(err.value)

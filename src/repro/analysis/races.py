@@ -228,8 +228,9 @@ def analyze_races(ir) -> List[Diagnostic]:
         _write_write(ir, out)
         _read_write(ir, out)
     # cross-processor races (witnesses span more than one owner) must
-    # have kept the barrier — `eliminate-barriers` decides from the same
-    # access maps, so a contradiction means the pass and analyzer diverge
+    # have kept the barrier — `eliminate-barriers` tests the same
+    # accesses and owners (as closed-form vectors), so a contradiction
+    # means the pass and analyzer diverge
     cross = [d for d in out
              if d.code == "RACE003" and len(d.witnesses) > 1]
     if cross and ir.successor is not None and not ir.barrier_needed:

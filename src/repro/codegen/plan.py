@@ -28,7 +28,7 @@ from ..decomp.replicated import Replicated
 from ..sets.membership import Work
 from ..sets.table1 import OptimizedAccess, optimize_access
 
-__all__ = ["CompiledRead", "SPMDPlan", "compile_clause"]
+__all__ = ["CompiledRead", "SPMDPlan", "check_canonical", "compile_clause"]
 
 
 @dataclass
@@ -118,11 +118,26 @@ def compile_clause(
 
     A thin shim over the unified pass pipeline
     (:func:`repro.pipeline.compile_plan`): it enforces this entry point's
-    historical contract, then projects the Plan IR back onto
-    :class:`SPMDPlan` (the IR and pass trace ride along as ``plan.ir`` /
-    ``plan.trace``).  Raises ``KeyError`` when an array lacks a
-    decomposition and ``ValueError`` for clause shapes outside the
-    paper's canonical form (non-1-D domains).
+    historical contract (:func:`check_canonical`), then projects the Plan
+    IR back onto :class:`SPMDPlan` (the IR and pass trace ride along as
+    ``plan.ir`` / ``plan.trace``).
+    """
+    check_canonical(clause, decomps)
+    from ..pipeline import compile_plan
+
+    return compile_plan(clause, decomps).to_spmd_plan()
+
+
+def check_canonical(
+    clause: Clause, decomps: Dict[str, Decomposition]
+) -> Decomposition:
+    """Refuse clauses outside the paper's canonical 1-D form and return
+    the write decomposition.
+
+    Raises ``ValueError`` for a non-1-D domain, an OverlappedBlock array,
+    a read decomposed over a different ``pmax`` than the write, or a
+    non-separable access, and ``KeyError`` when an array lacks a
+    decomposition.
     """
     if clause.domain.dim != 1:
         raise ValueError(
@@ -150,7 +165,4 @@ def compile_clause(
                 f"but {clause.lhs.name!r} over {pmax}"
             )
         ref.scalar_func()
-
-    from ..pipeline import compile_plan
-
-    return compile_plan(clause, decomps).to_spmd_plan()
+    return write_dec

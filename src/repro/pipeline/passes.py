@@ -320,17 +320,17 @@ class EliminateBarriers(Pass):
             return 0, ["no successor clause: barrier kept"]
         if ir.ndim != 1 or ir.successor.domain.dim != 1:
             return 0, ["barrier analysis implemented for 1-D clauses: kept"]
-        from ..codegen.barriers import barrier_removable
+        from ..codegen.barriers import _barrier_conflict
 
         try:
-            removable = barrier_removable(ir.clause, ir.successor, ir.decomps)
+            conflict = _barrier_conflict(ir.clause, ir.successor, ir.decomps)
         except (KeyError, ValueError) as exc:
             return 0, [f"analysis unavailable ({exc}); barrier kept"]
-        ir.barrier_needed = not removable
-        if removable:
+        ir.barrier_needed = conflict is not None
+        if conflict is None:
             return 1, [f"barrier before {ir.successor.name!r} eliminated: "
                        "no cross-processor write/read overlap"]
-        return 0, [f"barrier before {ir.successor.name!r} kept"]
+        return 0, [f"barrier before {ir.successor.name!r} kept: {conflict}"]
 
 
 class RecognizeReduction(Pass):
